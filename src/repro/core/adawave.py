@@ -100,13 +100,9 @@ class AdaWaveResult:
 
     @property
     def cluster_sizes(self) -> Dict[int, int]:
-        """Number of objects per detected cluster (noise excluded)."""
-        sizes: Dict[int, int] = {}
-        for label in self.labels:
-            if label == NOISE_LABEL:
-                continue
-            sizes[int(label)] = sizes.get(int(label), 0) + 1
-        return sizes
+        """Number of objects per detected cluster (noise excluded), by label."""
+        counts = np.bincount(self.labels[self.labels != NOISE_LABEL])
+        return {int(label): int(counts[label]) for label in np.flatnonzero(counts)}
 
 
 def build_result(

@@ -22,7 +22,11 @@ Two detectors are implemented:
     the default because it is the most faithful to the stated criterion ("the
     position where the 'middle line' and the 'noise line' intersects is
     generally the best threshold") and markedly more robust than the raw
-    per-point angle scan on large grids.
+    per-point angle scan on large grids.  The breakpoint pairs are scored in
+    blocks of rows over the feasible triangle only (middle segment of at
+    least two points), with small reused temporaries; it returns exactly
+    what the one-pass broadcast search in :mod:`repro.engine.reference`
+    returns, bit for bit.
 
 ``elbow_threshold_distance``
     A robust fallback (the classic "knee" rule): the point of the sorted
@@ -36,7 +40,7 @@ distinct densities).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -161,40 +165,95 @@ def elbow_threshold_distance(densities) -> ThresholdDiagnostics:
     )
 
 
-def _segment_sse(prefix: dict, start, end) -> np.ndarray:
-    """Sum of squared residuals of the least-squares line over ``[start, end)``.
+#: Breakpoint rows scored per block of the three-segment search.  One
+#: block's temporaries hold at most ``32 x n_points`` floats, so the search
+#: makes a few dozen short numpy passes per block instead of about fifteen
+#: full ``n_points x n_points`` temporaries.
+_BLOCK_ROWS = 32
 
-    Uses the precomputed prefix sums of x, y, x^2, y^2 and x*y so each segment
-    evaluation is O(1).  ``start``/``end`` may be scalars or broadcastable
-    integer arrays; the result follows the broadcast shape, so a whole grid
-    of candidate breakpoints evaluates in one vectorized pass.
+
+def _segment_sse(prefix: dict, starts: slice, ends: slice, scratch: np.ndarray) -> np.ndarray:
+    """Least-squares line residual over ``[start, end)`` for every start x end pair.
+
+    ``starts`` and ``ends`` are slices of prefix positions and every pair
+    the caller keeps must span at least two points.  The
+    ``(len(starts), len(ends))`` result is a view into ``scratch``, a
+    ``(7, >= size)`` float array reused across calls.  Each element goes
+    through the same operations in the same order as
+    :func:`repro.engine.reference.segment_sse_reference`, so the two agree
+    bit for bit.
     """
-    start = np.asarray(start)
-    end = np.asarray(end)
-    n = end - start
-    sum_x = prefix["x"][end] - prefix["x"][start]
-    sum_y = prefix["y"][end] - prefix["y"][start]
-    sum_xx = prefix["xx"][end] - prefix["xx"][start]
-    sum_yy = prefix["yy"][end] - prefix["yy"][start]
-    sum_xy = prefix["xy"][end] - prefix["xy"][start]
-    safe_n = np.where(n < 2, 2, n)
-    var_x = sum_xx - sum_x * sum_x / safe_n
-    var_y = sum_yy - sum_y * sum_y / safe_n
-    cov_xy = sum_xy - sum_x * sum_y / safe_n
+    shape = (len(prefix["n"][starts]), len(prefix["n"][ends]))
+    n, sum_x, sum_y, var_x, var_y, cov_xy, sse = (
+        scratch[k, : shape[0] * shape[1]].reshape(shape) for k in range(7)
+    )
+    for key, out in (("n", n), ("x", sum_x), ("y", sum_y), ("xx", var_x),
+                     ("yy", var_y), ("xy", cov_xy)):
+        np.subtract(prefix[key][ends][None, :], prefix[key][starts][:, None], out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fitted = var_y - cov_xy * cov_xy / var_x
-    sse = np.where(var_x <= 1e-18, np.maximum(var_y, 0.0), np.maximum(fitted, 0.0))
-    return np.where(n < 2, 0.0, sse)
+        var_x -= np.divide(np.multiply(sum_x, sum_x, out=sse), n, out=sse)
+        var_y -= np.divide(np.multiply(sum_y, sum_y, out=sse), n, out=sse)
+        cov_xy -= np.divide(np.multiply(sum_x, sum_y, out=sse), n, out=sse)
+        np.divide(np.multiply(cov_xy, cov_xy, out=sse), var_x, out=sse)
+        np.subtract(var_y, sse, out=sse)
+    np.maximum(sse, 0.0, out=sse)
+    np.copyto(sse, np.maximum(var_y, 0.0, out=var_y), where=var_x <= 1e-18)
+    return sse
 
 
-def elbow_threshold_segments(densities, max_curve_points: int = 400) -> ThresholdDiagnostics:
-    """Three-segment least-squares fit of the sorted density curve (Fig. 6).
+def _block_totals(x: np.ndarray, y: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Three-segment errors of the breakpoint pairs, one row block at a time.
 
-    The descending density curve is (sub)sampled to at most
-    ``max_curve_points`` positions, every pair of breakpoints is scored by the
-    total squared error of fitting one line per segment, and the density at
-    the junction between the middle and the noise segments of the best fit is
-    returned as the threshold.
+    Breakpoints ``i < j`` split the curve into ``[0, i)``, ``[i, j)`` and
+    ``[j, n)``, each of at least two points.  Rows ``i`` come in blocks of
+    :data:`_BLOCK_ROWS`, each over the columns ``j >= i0 + 2`` only, so the
+    search touches little more than the feasible triangle.  Yields
+    ``(i0, total)`` with ``total[r, c]`` the error head + middle + tail of
+    the pair ``(i0 + r, i0 + 2 + c)``, infinite where the middle segment is
+    too short.  ``total`` is scratch that the next block overwrites.
+    """
+    n_points = len(x)
+    prefix = {
+        "n": np.arange(n_points + 1, dtype=np.float64),
+        "x": np.concatenate([[0.0], np.cumsum(x)]),
+        "y": np.concatenate([[0.0], np.cumsum(y)]),
+        "xx": np.concatenate([[0.0], np.cumsum(x * x)]),
+        "yy": np.concatenate([[0.0], np.cumsum(y * y)]),
+        "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
+    }
+    scratch = np.empty((7, _BLOCK_ROWS * n_points))
+    last_i = n_points - 4
+    head = _segment_sse(prefix, slice(0, 1), slice(2, last_i + 1), scratch)[0].copy()
+    tail = _segment_sse(prefix, slice(4, n_points - 1), slice(n_points, None), scratch)[:, 0].copy()
+    for i0 in range(2, last_i + 1, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, last_i + 1)
+        total = _segment_sse(prefix, slice(i0, i1), slice(i0 + 2, n_points - 1), scratch)
+        total += head[i0 - 2 : i1 - 2, None]
+        total += tail[None, i0 - 2 :]
+        total[np.tril_indices(i1 - i0, -1, total.shape[1])] = np.inf
+        yield i0, total
+
+
+def _best_breakpoints(x: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
+    """Breakpoints ``(i, j)`` minimising the three-segment squared error.
+
+    The first minimum in row-major ``(i, j)`` order: a later block wins
+    only on a strictly smaller total.
+    """
+    best_total, best = np.inf, (2, 4)
+    for i0, total in _block_totals(x, y):
+        flat = int(np.argmin(total))
+        if total.flat[flat] < best_total:
+            best_total = total.flat[flat]
+            best = (i0 + flat // total.shape[1], i0 + 2 + flat % total.shape[1])
+    return best
+
+
+def _three_segment_fit(densities, max_curve_points: int, search) -> ThresholdDiagnostics:
+    """Sort, normalise and subsample the curve, then ``search(x, y)`` for breakpoints.
+
+    Shared by :func:`elbow_threshold_segments` and the reference search in
+    :mod:`repro.engine.reference`, which differ only in ``search``.
     """
     values = np.sort(np.asarray(densities, dtype=np.float64))[::-1]
     if len(values) == 0:
@@ -215,43 +274,28 @@ def elbow_threshold_segments(densities, max_curve_points: int = 400) -> Threshol
         )
     else:
         sample_index = np.arange(len(curve))
-    x = curve[sample_index, 0]
-    y = curve[sample_index, 1]
-    n_points = len(sample_index)
+    head_end, tail_start = search(curve[sample_index, 0], curve[sample_index, 1])
 
-    prefix = {
-        "x": np.concatenate([[0.0], np.cumsum(x)]),
-        "y": np.concatenate([[0.0], np.cumsum(y)]),
-        "xx": np.concatenate([[0.0], np.cumsum(x * x)]),
-        "yy": np.concatenate([[0.0], np.cumsum(y * y)]),
-        "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
-    }
-
-    # Breakpoints i < j split the curve into [0, i), [i, j), [j, n).  All
-    # (i, j) pairs are scored in one broadcast pass: total error is
-    # head(i) + middle(i, j) + tail(j), each an O(1) prefix-sum lookup.
-    i_candidates = np.arange(2, n_points - 3)
-    j_candidates = np.arange(4, n_points - 1)
-    head = _segment_sse(prefix, 0, i_candidates)
-    tail = _segment_sse(prefix, j_candidates, n_points)
-    middle = _segment_sse(prefix, i_candidates[:, None], j_candidates[None, :])
-    total = head[:, None] + middle + tail[None, :]
-    # Mask infeasible pairs (middle segment shorter than 2 points).
-    total[j_candidates[None, :] < i_candidates[:, None] + 2] = np.inf
-    flat_best = int(np.argmin(total))
-    best_breaks = (
-        int(i_candidates[flat_best // len(j_candidates)]),
-        int(j_candidates[flat_best % len(j_candidates)]),
-    )
-
-    junction = int(sample_index[best_breaks[1]])
+    junction = int(sample_index[tail_start])
     return ThresholdDiagnostics(
         threshold=float(values[junction]),
         index=junction,
         method="segments",
         sorted_densities=values,
-        breakpoints=(int(sample_index[best_breaks[0]]), junction),
+        breakpoints=(int(sample_index[head_end]), junction),
     )
+
+
+def elbow_threshold_segments(densities, max_curve_points: int = 400) -> ThresholdDiagnostics:
+    """Three-segment least-squares fit of the sorted density curve (Fig. 6).
+
+    The descending density curve is (sub)sampled to at most
+    ``max_curve_points`` positions, every pair of breakpoints is scored by the
+    total squared error of fitting one line per segment, and the density at
+    the junction between the middle and the noise segments of the best fit is
+    returned as the threshold.
+    """
+    return _three_segment_fit(densities, max_curve_points, _best_breakpoints)
 
 
 def adaptive_threshold(densities, angle_divisor: float = 3.0) -> ThresholdDiagnostics:

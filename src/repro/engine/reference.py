@@ -13,6 +13,11 @@ per-point loop for the final label lookup.  They are kept for three reasons:
   the two engines on random inputs;
 * they document the algorithm in its most literal form.
 
+:func:`elbow_threshold_segments_reference` is the one-pass broadcast
+breakpoint search that :func:`repro.core.threshold.elbow_threshold_segments`
+replaced with a row-blocked one; the Hypothesis suite pins the two to the
+same breakpoints and thresholds.
+
 They are deliberately *not* optimised -- the vectorized versions living in
 :mod:`repro.grid`, :mod:`repro.core.transform` and :mod:`repro.spatial` are
 the production path.
@@ -204,3 +209,67 @@ def extract_clusters_reference(
         relabel = {old: new for new, old in enumerate(sorted(keep))}
         labels = {cell: relabel[label] for cell, label in labels.items() if label in keep}
     return labels
+
+
+def segment_sse_reference(prefix: dict, start, end) -> np.ndarray:
+    """Sum of squared residuals of the least-squares line over ``[start, end)``.
+
+    Uses the precomputed prefix sums of x, y, x^2, y^2 and x*y so each segment
+    evaluation is O(1).  ``start``/``end`` may be scalars or broadcastable
+    integer arrays; the result follows the broadcast shape.
+    """
+    start = np.asarray(start)
+    end = np.asarray(end)
+    n = end - start
+    sum_x = prefix["x"][end] - prefix["x"][start]
+    sum_y = prefix["y"][end] - prefix["y"][start]
+    sum_xx = prefix["xx"][end] - prefix["xx"][start]
+    sum_yy = prefix["yy"][end] - prefix["yy"][start]
+    sum_xy = prefix["xy"][end] - prefix["xy"][start]
+    safe_n = np.where(n < 2, 2, n)
+    var_x = sum_xx - sum_x * sum_x / safe_n
+    var_y = sum_yy - sum_y * sum_y / safe_n
+    cov_xy = sum_xy - sum_x * sum_y / safe_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fitted = var_y - cov_xy * cov_xy / var_x
+    sse = np.where(var_x <= 1e-18, np.maximum(var_y, 0.0), np.maximum(fitted, 0.0))
+    return np.where(n < 2, 0.0, sse)
+
+
+def breakpoint_totals_reference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Three-segment error of every breakpoint pair, in one broadcast pass.
+
+    ``total[a, b]`` is head(i) + middle(i, j) + tail(j) for ``i = 2 + a``
+    and ``j = 4 + b``, each an O(1) prefix-sum lookup, with the infeasible
+    pairs (middle segment shorter than 2 points) set to infinity.
+    """
+    n_points = len(x)
+    prefix = {
+        "x": np.concatenate([[0.0], np.cumsum(x)]),
+        "y": np.concatenate([[0.0], np.cumsum(y)]),
+        "xx": np.concatenate([[0.0], np.cumsum(x * x)]),
+        "yy": np.concatenate([[0.0], np.cumsum(y * y)]),
+        "xy": np.concatenate([[0.0], np.cumsum(x * y)]),
+    }
+    i_candidates = np.arange(2, n_points - 3)
+    j_candidates = np.arange(4, n_points - 1)
+    head = segment_sse_reference(prefix, 0, i_candidates)
+    tail = segment_sse_reference(prefix, j_candidates, n_points)
+    middle = segment_sse_reference(prefix, i_candidates[:, None], j_candidates[None, :])
+    total = head[:, None] + middle + tail[None, :]
+    total[j_candidates[None, :] < i_candidates[:, None] + 2] = np.inf
+    return total
+
+
+def breakpoints_reference(x: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
+    """The first minimum of :func:`breakpoint_totals_reference` in row-major order."""
+    total = breakpoint_totals_reference(x, y)
+    flat_best = int(np.argmin(total))
+    return 2 + flat_best // total.shape[1], 4 + flat_best % total.shape[1]
+
+
+def elbow_threshold_segments_reference(densities, max_curve_points: int = 400):
+    """:func:`repro.core.threshold.elbow_threshold_segments` with the broadcast search."""
+    from repro.core.threshold import _three_segment_fit
+
+    return _three_segment_fit(densities, max_curve_points, breakpoints_reference)

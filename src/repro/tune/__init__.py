@@ -44,12 +44,16 @@ from repro.tune.scoring import CandidateScore, score_candidates, weighted_partit
 from repro.tune.select import TuneResult, select_best, tune_pyramid
 from repro.tune.sweep import (
     DEFAULT_THRESHOLD_SWEEP,
+    BaseCellMap,
     Candidate,
+    base_cell_maps,
+    combined_factor,
     evaluate_candidate,
     sweep_pyramid,
 )
 
 __all__ = [
+    "BaseCellMap",
     "Candidate",
     "CandidateScore",
     "DEFAULT_MIN_SCALE",
@@ -57,6 +61,8 @@ __all__ = [
     "GridPyramid",
     "PyramidLevel",
     "TuneResult",
+    "base_cell_maps",
+    "combined_factor",
     "default_base_scale",
     "evaluate_candidate",
     "is_power_of_two",

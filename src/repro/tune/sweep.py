@@ -6,7 +6,10 @@ The expensive part of an AdaWave fit is the single pass over the points
 derived from one quantization, it runs transform + threshold + components on
 every (resolution, decomposition-level) candidate and collects label-free
 diagnostics for the scoring step -- so sweeping ``S`` resolutions costs
-about one fit plus ``S`` cheap grid passes, not ``S`` fits.
+about one fit plus ``S`` cheap grid passes, not ``S`` fits.  Each
+candidate's partition is expressed over the base grid's occupied cells
+through a :class:`BaseCellMap`, built once per distinct combined
+(resolution x wavelet-level) factor and shared by every candidate with it.
 
 Candidates are independent, so with ``n_workers > 1`` they fan out over a
 thread pool, the same pattern as :func:`repro.serve.parallel_ingest` and
@@ -19,7 +22,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,36 +88,84 @@ class Candidate:
     threshold_method: str = "global-hard"
 
 
+class BaseCellMap(NamedTuple):
+    """The comparison grid's occupied cells seen ``combined`` times coarser.
+
+    ``cells`` are the distinct cells of ``base_coords // combined`` and
+    ``inverse`` gives, for every base cell, its row in ``cells``.  A
+    candidate's base-cell labels depend on its surviving cells and on
+    ``combined`` alone, so candidates sharing ``combined`` share one map and
+    each looks up only the few distinct ``cells``.
+    """
+
+    cells: np.ndarray
+    inverse: np.ndarray
+
+    def labels(self, index: CellLabelIndex) -> np.ndarray:
+        """``index.lookup(base_coords // combined)``, one lookup per distinct cell."""
+        return index.lookup(self.cells)[self.inverse]
+
+
+def base_cell_maps(base_grid: SparseGrid, combined: Iterable[int]) -> Dict[int, BaseCellMap]:
+    """One :class:`BaseCellMap` per distinct ``combined`` factor.
+
+    The maps are built finest first, each from the previous one: floor
+    division composes, so the next map only coarsens and looks up the
+    previous map's distinct cells and composes the two inverses.  Each
+    factor must divide the next larger one, as powers of two do.
+    """
+    factors = sorted(set(combined))
+    maps: Dict[int, BaseCellMap] = {}
+    grid, done = base_grid, 1
+    inverse = np.arange(base_grid.n_occupied)
+    for factor in factors:
+        if factor < 1 or factor % done:
+            raise ValueError(
+                f"each combined factor must divide the next larger one; got {factors}."
+            )
+        step = factor // done
+        coarse = grid.coarsen(step)
+        rows = CellLabelIndex(coarse.coords, np.arange(coarse.n_occupied))
+        inverse = rows.lookup(grid.coords // step)[inverse]
+        maps[factor] = BaseCellMap(coarse.coords, inverse)
+        grid, done = coarse, factor
+    return maps
+
+
+def combined_factor(pyramid_level: PyramidLevel, base_factor: int, level: int) -> int:
+    """Factor from a comparison cell to its cell in a candidate's transformed space.
+
+    Coarsen from the comparison resolution to the candidate resolution
+    (relative factor), then apply the wavelet downsampling (``2**level``).
+    Factors are powers of two and increasing, so the division is exact.
+    """
+    return (pyramid_level.factor // base_factor) * (2**level)
+
+
 def evaluate_candidate(
     pyramid_level: PyramidLevel,
-    base_coords: np.ndarray,
+    base_map: BaseCellMap,
     base_values: np.ndarray,
     *,
     level: int = 1,
-    base_factor: int = 1,
     workspace: Optional[Workspace] = None,
     **pipeline_params,
 ) -> Candidate:
     """Run the grid pipeline on one pyramid level and derive its diagnostics.
 
-    ``base_coords``/``base_values`` are the occupied cells of the grid every
-    candidate is compared over -- the pyramid's *finest materialized* level,
-    whose own downsampling factor is ``base_factor`` (1 unless the pyramid
-    was built with explicit factors that skip 1).  Every candidate's
-    per-cell cluster assignment is expressed over those shared cells so
-    candidates at different resolutions are directly comparable.
+    ``base_map``/``base_values`` describe the occupied cells of the grid
+    every candidate is compared over -- the pyramid's *finest materialized*
+    level, whose own downsampling factor is ``base_factor`` (1 unless the
+    pyramid was built with explicit factors that skip 1).  ``base_map`` is
+    the :func:`base_cell_maps` entry for ``combined_factor(pyramid_level,
+    base_factor, level)``.  Every candidate's per-cell cluster assignment
+    is expressed over those shared cells so candidates at different
+    resolutions are directly comparable.
     """
     pipe = run_grid_pipeline(
         pyramid_level.grid, level=level, workspace=workspace, **pipeline_params
     )
-    # A comparison cell's transformed-space cell under this candidate:
-    # coarsen from the comparison resolution to the candidate resolution
-    # (// relative factor), then apply the wavelet downsampling
-    # (// 2**level) -- one combined shift.  Factors are powers of two and
-    # increasing, so the division is exact.
-    combined = (pyramid_level.factor // base_factor) * (2**level)
-    index = CellLabelIndex(pipe.cell_coords, pipe.cell_labels)
-    base_cell_labels = index.lookup(base_coords // combined)
+    base_cell_labels = base_map.labels(CellLabelIndex(pipe.cell_coords, pipe.cell_labels))
     total_mass = float(base_values.sum())
     if total_mass > 0:
         noise_mass = float(base_values[base_cell_labels == NOISE_LABEL].sum())
@@ -171,10 +222,14 @@ def sweep_pyramid(
         thresholds = (threshold_spec,)
     for spec in thresholds:
         LevelPolicy.parse(spec)  # fail fast, before any candidate runs
-    base = pyramid.levels[0].grid
-    base_factor = pyramid.levels[0].factor
-    base_coords = base.coords
-    base_values = base.values
+    base = pyramid.levels[0]
+    # Every candidate with the same combined factor shares one base-cell
+    # map; all of them are built here, before any fan-out.
+    maps = base_cell_maps(base.grid, (
+        combined_factor(pyramid_level, base.factor, level)
+        for level in levels
+        for pyramid_level in pyramid.levels
+    ))
     jobs = [
         (pyramid_level, level, wavelet, threshold)
         for level in levels
@@ -187,10 +242,9 @@ def sweep_pyramid(
         pyramid_level, level, wavelet, threshold = job
         return evaluate_candidate(
             pyramid_level,
-            base_coords,
-            base_values,
+            maps[combined_factor(pyramid_level, base.factor, level)],
+            base.grid.values,
             level=level,
-            base_factor=base_factor,
             workspace=scratch,
             wavelet=wavelet,
             threshold=threshold,

@@ -1,5 +1,7 @@
 """Tests for repro.core.adawave and repro.core.multiresolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ class TestAdaWaveBasics:
         assert result.threshold.threshold == model.threshold_
         assert result.quantization.n_samples == points.shape[0]
         assert sum(result.cluster_sizes.values()) == int(np.sum(~result.noise_mask))
+
+    @pytest.mark.parametrize("labels", [
+        None,  # the fitted labels
+        [-1, 3, 0, 3, -1, 5, 5, 5],  # gaps in the label range
+        [-1, -1, -1],  # all noise
+        [],
+    ])
+    def test_cluster_sizes_match_per_label_loop(self, labels):
+        points, _ = two_blob_dataset()
+        result = AdaWave(scale=64).fit(points).result_
+        if labels is not None:
+            result = dataclasses.replace(result, labels=np.asarray(labels, dtype=np.int64))
+        expected = {}
+        for label in result.labels.tolist():
+            if label != -1:
+                expected[label] = expected.get(label, 0) + 1
+        sizes = result.cluster_sizes
+        assert sizes == expected
+        assert list(sizes) == sorted(expected)
+        assert all(type(k) is int and type(v) is int for k, v in sizes.items())
 
     def test_detects_ring_shape_among_other_clusters(self):
         """Ring-shaped clusters are recovered in the paper's setting: several
